@@ -9,7 +9,9 @@ benchmark binary (the repository's CMake project plus perfbench/src) under
 .perfbench/build; every call then generates the workload's inputs for the
 seed under .perfbench/inputs, runs the workload, and prints its metrics. The
 last line of standard output is one JSON object: correct, attempted, failed
-and metrics (the end-to-end metrics, or with --trace 1 the per-layer ones).
+and metrics (the end-to-end metrics, or with --trace 1 the per-layer ones,
+in manifest order; a per-layer metric the workload does not exercise reads
+0). The exit code is 1 when any check of the run failed.
 
 --write-benchmark-json writes BENCHMARK.json at the checkout root from the
 manifest below, which is the single definition of workloads and metrics.
@@ -54,8 +56,7 @@ END_TO_END = [
     ("peak_rss_mb", "MB", "lower", 0.25),
 ]
 
-# (name, unit, better); same names and order as LayerMetricDefs() in
-# perfbench/src/layers.cc.
+# (name, unit, better)
 PER_LAYER = [
     ("format.load_ms", "ms", "lower"),
     ("format.mapped_mb", "MB", "higher"),
@@ -178,18 +179,38 @@ def main():
                 "--seed", str(args.seed), "--seconds", str(args.seconds),
                 "--trace", str(args.trace), "--root", ROOT], 170)
     lines = done.stdout.splitlines()
-    if done.returncode != 0 or not lines:
+    if not lines or not lines[-1].startswith("{"):
         fail("run failed (exit %d):\n%s" % (done.returncode,
                                             done.stdout[-4000:]))
     try:
         result = json.loads(lines[-1])
     except ValueError:
         fail("no result line:\n" + done.stdout[-4000:])
-    expected = [n for n, *_ in (PER_LAYER if args.trace else END_TO_END)]
-    if list(result["metrics"]) != expected:
-        fail("metrics %s do not match the manifest %s"
-             % (list(result["metrics"]), expected))
-    print(done.stdout, end="")
+    result["metrics"] = in_manifest_order(result["metrics"], args.trace)
+    print("\n".join(lines[:-1]))
+    print(json.dumps(result))
+    if done.returncode != 0 or result["correct"] is not True:
+        fail("a check failed (see the error line above)")
+
+
+def in_manifest_order(measured, trace):
+    """The run's metrics in manifest order. Every end-to-end metric must be
+    measured; per-layer metrics of layers the workload does not exercise
+    read 0."""
+    defs = PER_LAYER if trace else END_TO_END
+    units = {n: u for n, u, *_ in defs}
+    unknown = [n for n in measured if n not in units]
+    if unknown:
+        fail("metrics not in the manifest: %s" % unknown)
+    for name, metric in measured.items():
+        if metric["unit"] != units[name]:
+            fail("%s is in %s, the manifest says %s"
+                 % (name, metric["unit"], units[name]))
+    if not trace and len(measured) != len(defs):
+        fail("end-to-end metrics missing: %s"
+             % [n for n in units if n not in measured])
+    return {n: measured.get(n, {"value": 0, "unit": u})
+            for n, u, *_ in defs}
 
 
 if __name__ == "__main__":

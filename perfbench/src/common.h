@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,18 +60,39 @@ class MetricList {
 };
 
 /// Everything one run reports.
+///
+/// An operation is one distinct request on one graph state (a query key on
+/// a static graph, a polled request at one epoch), one update batch or one
+/// subscription revision. Each is checked once against the oracle, and
+/// every repeat of a request must equal its checked answer, so `attempted`
+/// and `failed` do not grow with the number of repeats a run fits in.
 struct Outcome {
   /// First correctness violation; empty when every checked output held.
   std::string error;
   int64_t attempted = 0;
-  int64_t failed = 0;
+  /// Operations that failed: refused by the program, failed a check, or
+  /// hit the known fault. Each is counted once.
+  std::set<std::string> failed_ops;
   MetricList end_to_end;
   MetricList per_layer;
   /// Extra human-readable lines printed before the JSON result.
   std::vector<std::string> notes;
 
-  void Fail(const std::string& message) {
+  int64_t failed() const { return static_cast<int64_t>(failed_ops.size()); }
+
+  /// Operation `op` was refused or gave a wrong answer.
+  void Fail(const std::string& op, const std::string& message) {
+    failed_ops.insert(op);
+    if (error.empty()) error = op + ": " + message;
+  }
+  /// The run itself went wrong (missing input, self-test not passed).
+  void FailRun(const std::string& message) {
     if (error.empty()) error = message;
+  }
+  /// Operation `op` hit the known fault: failed, but the run stays correct.
+  void KnownFault(const std::string& op, const std::string& note) {
+    failed_ops.insert(op);
+    notes.push_back("known fault, " + op + ": " + note);
   }
 };
 

@@ -10,8 +10,8 @@
 //  * The planted stand-ins of the paper's datasets are fixed graphs, like
 //    the datasets they stand in for: they come from the program's dataset
 //    table with its own generator seeds, and the run's seed relabels their
-//    vertices and permutes their layers (and, in churn-subscribe, drives
-//    the update schedule). Regenerating their community structure per seed
+//    vertices (and, in churn-subscribe, drives the update schedule); layer
+//    ids are kept. Regenerating their community structure per seed
 //    would move query cost and cover by 10-50% between seeds and hide the
 //    changes the benchmark is there to show.
 //  * rmat-skewed's fault graph does not depend on the seed: the known

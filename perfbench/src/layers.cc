@@ -18,62 +18,6 @@ namespace perfbench {
 
 using mlcore::DccsAlgorithm;
 
-const std::vector<LayerMetricDef>& LayerMetricDefs() {
-  static const std::vector<LayerMetricDef> defs = {
-      {"format.load_ms", "ms"},
-      {"format.mapped_mb", "MB"},
-      {"store.init_ms", "ms"},
-      {"store.apply_p50_ms", "ms"},
-      {"store.apply_p90_ms", "ms"},
-      {"store.core_changes", "count"},
-      {"store.incremental_layers", "count"},
-      {"store.full_recomputes", "count"},
-      {"engine.snapshot_pin_ms", "ms"},
-      {"engine.admission_wait_p50_ms", "ms"},
-      {"engine.admission_wait_p90_ms", "ms"},
-      {"ledger.e2e_ms", "ms"},
-      {"ledger.layer_sum_ms", "ms"},
-      {"query.unaccounted_ms", "ms"},
-      {"query.p99_ms", "ms"},
-      {"engine.preprocess_hits", "count"},
-      {"engine.preprocess_misses", "count"},
-      {"engine.base_core_hits", "count"},
-      {"engine.seed_hits", "count"},
-      {"engine.index_hits", "count"},
-      {"engine.base_core_layers_reused", "count"},
-      {"engine.base_core_store_served", "count"},
-      {"subs.revisions_emitted", "count"},
-      {"subs.unchanged_skipped", "count"},
-      {"subs.coalesced", "count"},
-      {"subs.reeval_ms", "ms"},
-      {"subs.delivery_ms", "ms"},
-      {"subs.revision_lag_p50_ms", "ms"},
-      {"preprocess.ms", "ms"},
-      {"preprocess.active_share", "ratio"},
-      {"index.build_ms", "ms"},
-      {"seeds.ms", "ms"},
-      {"search.bu_ms", "ms"},
-      {"search.td_ms", "ms"},
-      {"search.gd_ms", "ms"},
-      {"search.nodes_visited", "count"},
-      {"search.candidates_generated", "count"},
-      {"search.pruned_eq1", "count"},
-      {"search.pruned_order", "count"},
-      {"search.pruned_layer", "count"},
-      {"search.pruned_potential", "count"},
-      {"search.updates_accepted", "count"},
-      {"search.speculative_evals", "count"},
-      {"search.speculative_useful_ratio", "ratio"},
-      {"cover.ms", "ms"},
-      {"kernel.dcc_calls", "count"},
-      {"kernel.dcc_edges_per_s", "edges/s"},
-      {"kernel.bz_edges_per_s", "edges/s"},
-      {"kernel.bz_ratio", "ratio"},
-      {"kernel.dcore_ms", "ms"},
-  };
-  return defs;
-}
-
 namespace {
 
 // Search lanes of the probe that measures speculative waste.
@@ -167,8 +111,9 @@ void AddSearchLayerMetrics(const std::vector<Probe>& probes, Outcome* out) {
       }
     }
     if (result.cores != probe.expected.cores) {
-      out->Fail(probe.label + ": the layers called directly answer "
-                              "differently from the engine");
+      out->Fail(probe.label,
+                "the layers called directly answer differently from the "
+                "engine");
     }
     sum.nodes_visited += result.stats.nodes_visited;
     sum.candidates_generated += result.stats.candidates_generated;
@@ -185,8 +130,9 @@ void AddSearchLayerMetrics(const std::vector<Probe>& probes, Outcome* out) {
       committed += lanes.stats.candidates_generated;
       speculative += lanes.stats.speculative_evals;
       if (lanes.cores != result.cores) {
-        out->Fail(probe.label + ": answer differs between 1 and " +
-                  std::to_string(kProbeLanes) + " search lanes");
+        out->Fail(probe.label, "answer differs between 1 and " +
+                                   std::to_string(kProbeLanes) +
+                                   " search lanes");
       }
     }
 

@@ -7,8 +7,8 @@
 // `gen` writes the workload's input graphs under DIR/.perfbench/inputs
 // (kept apart from `run`, so generation is neither timed nor counted in
 // peak memory). `run` measures one workload and prints its metrics, ending
-// with one JSON line. `lanes` prints the BU/TD search-lane reference table
-// of the README.
+// with one JSON line, and exits 1 when any check failed. `lanes` prints the
+// BU/TD search-lane reference table of the README.
 
 #include <cstdio>
 #include <cstring>
@@ -88,26 +88,23 @@ std::string JsonEscape(const std::string& text) {
 
 void Print(const Outcome& out, bool trace) {
   for (const auto& note : out.notes) std::printf("# %s\n", note.c_str());
-  MetricList layer;
-  if (trace) {
-    for (const auto& def : LayerMetricDefs()) layer.Set(def.name, 0, def.unit);
-    for (const auto& m : out.per_layer.items()) layer.Set(m.name, m.value, m.unit);
-  }
-  for (const auto& m : out.end_to_end.items()) {
-    std::printf("%-36s %14.4f %s\n", m.name.c_str(), m.value, m.unit.c_str());
-  }
-  for (const auto& m : layer.items()) {
-    std::printf("%-36s %14.4f %s\n", m.name.c_str(), m.value, m.unit.c_str());
+  for (const auto* list : {&out.end_to_end, &out.per_layer}) {
+    for (const auto& m : list->items()) {
+      std::printf("%-36s %14.4f %s\n", m.name.c_str(), m.value,
+                  m.unit.c_str());
+    }
   }
   std::printf("attempted %lld, failed %lld\n",
               static_cast<long long>(out.attempted),
-              static_cast<long long>(out.failed));
+              static_cast<long long>(out.failed()));
   if (!out.error.empty()) std::printf("error: %s\n", out.error.c_str());
-  const MetricList& shown = trace ? layer : out.end_to_end;
+  // The per-layer metrics a workload does not exercise are absent here;
+  // run.py fills them in from the manifest.
+  const MetricList& shown = trace ? out.per_layer : out.end_to_end;
   std::string json = "{\"correct\": ";
   json += out.error.empty() ? "true" : "false";
   json += ", \"attempted\": " + std::to_string(out.attempted);
-  json += ", \"failed\": " + std::to_string(out.failed);
+  json += ", \"failed\": " + std::to_string(out.failed());
   json += ", \"metrics\": {";
   bool first = true;
   for (const auto& m : shown.items()) {
@@ -254,5 +251,5 @@ int main(int argc, char** argv) {
   const Outcome out = RunWorkload(cfg);
   Print(out, cfg.trace);
   std::fflush(stdout);
-  return 0;
+  return out.error.empty() && out.attempted > 0 ? 0 : 1;
 }

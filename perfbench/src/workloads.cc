@@ -1,7 +1,6 @@
 #include "workloads.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <functional>
 #include <map>
@@ -87,19 +86,16 @@ class AnswerBook {
  public:
   struct Entry {
     DccsResult first;
-    int64_t count = 0;
   };
 
   void Record(const std::string& label, const DccsResult& result) {
     std::lock_guard<std::mutex> lock(mu_);
     auto [it, inserted] = entries_.try_emplace(label);
-    ++it->second.count;
     if (inserted) {
       it->second.first.cores = result.cores;
       it->second.first.epoch = result.epoch;
-    } else if (result.cores != it->second.first.cores && mismatch_.empty()) {
-      mismatch_ = label + ": answer differs from an earlier answer to the "
-                          "same request on the same graph";
+    } else if (result.cores != it->second.first.cores) {
+      mismatched_.insert(label);
     }
   }
   const Entry* Find(const std::string& label) const {
@@ -107,12 +103,18 @@ class AnswerBook {
     return it == entries_.end() ? nullptr : &it->second;
   }
   const std::map<std::string, Entry>& entries() const { return entries_; }
-  const std::string& mismatch() const { return mismatch_; }
+  // Counts each label whose repeats disagreed as a failed operation.
+  void ReportMismatches(Outcome* out) const {
+    for (const auto& label : mismatched_) {
+      out->Fail(label, "answer differs from an earlier answer to the same "
+                       "request on the same graph");
+    }
+  }
 
  private:
   std::mutex mu_;
   std::map<std::string, Entry> entries_;
-  std::string mismatch_;
+  std::set<std::string> mismatched_;
 };
 
 const char* ShortName(DccsAlgorithm algorithm) {
@@ -243,10 +245,11 @@ void VerifyStatic(const std::vector<LoadedGraph>& graphs,
                   const std::vector<StaticQuery>& queries,
                   const AnswerBook& book, int timed_lanes, Samples* samples,
                   Outcome* out) {
-  if (!book.mismatch().empty()) out->Fail(book.mismatch());
+  out->attempted += static_cast<int64_t>(queries.size());
+  book.ReportMismatches(out);
   struct CoverPair {
     int64_t greedy = -1;
-    std::vector<int64_t> lattice;
+    std::vector<std::pair<std::string, int64_t>> lattice;  // label, cover
   };
   std::map<std::tuple<size_t, int, int, int>, CoverPair> covers;
   const DccsResult* self_test_answer = nullptr;
@@ -255,7 +258,7 @@ void VerifyStatic(const std::vector<LoadedGraph>& graphs,
   for (const auto& q : queries) {
     const AnswerBook::Entry* entry = book.Find(q.label);
     if (entry == nullptr) {
-      out->Fail(q.label + ": never answered");
+      out->Fail(q.label, "never answered");
       continue;
     }
     const MultiLayerGraph& graph = *graphs[q.graph].graph;
@@ -263,12 +266,11 @@ void VerifyStatic(const std::vector<LoadedGraph>& graphs,
     const Verdict verdict = CheckAnswer(graph, params, entry->first);
     if (!verdict.ok()) {
       if (q.known_fault && verdict.only_non_maximal) {
-        out->failed += entry->count;
-        out->notes.push_back("known fault, " + q.label + ": " +
-                             std::to_string(verdict.non_maximal_cores) +
-                             " non-maximal cores (" + verdict.error + ")");
+        out->KnownFault(q.label, std::to_string(verdict.non_maximal_cores) +
+                                     " non-maximal cores (" + verdict.error +
+                                     ")");
       } else {
-        out->Fail(q.label + ": " + verdict.error);
+        out->Fail(q.label, verdict.error);
       }
     } else {
       if (!q.known_fault) samples->cover_vertices += entry->first.CoverSize();
@@ -280,7 +282,7 @@ void VerifyStatic(const std::vector<LoadedGraph>& graphs,
       if (Resolve(q.request, graph.NumLayers()) == DccsAlgorithm::kGreedy) {
         pair.greedy = entry->first.CoverSize();
       } else {
-        pair.lattice.push_back(entry->first.CoverSize());
+        pair.lattice.push_back({q.label, entry->first.CoverSize()});
       }
     }
     // The answer must be the same at the other lane count.
@@ -292,30 +294,27 @@ void VerifyStatic(const std::vector<LoadedGraph>& graphs,
     }
     auto other = checker->Run(q.request);
     if (!other.ok()) {
-      out->Fail(q.label + ": run at the other lane count failed: " +
-                other.status().message);
+      out->Fail(q.label, "run at the other lane count failed: " +
+                             other.status().message);
     } else if (other->cores != entry->first.cores) {
-      out->Fail(q.label + ": answer differs with the search-lane count");
+      out->Fail(q.label, "answer differs with the search-lane count");
     }
   }
   for (const auto& [key, pair] : covers) {
     if (pair.greedy < 0) continue;
-    for (int64_t lattice : pair.lattice) {
+    for (const auto& [label, lattice] : pair.lattice) {
       const std::string error = CheckApproximation(pair.greedy, lattice);
-      if (!error.empty()) {
-        out->Fail(graphs[std::get<0>(key)].name + " d=" +
-                  std::to_string(std::get<1>(key)) + " s=" +
-                  std::to_string(std::get<2>(key)) + ": " + error);
-      }
+      if (!error.empty()) out->Fail(label, error);
     }
   }
   if (self_test_answer == nullptr) {
-    out->Fail("no correct non-empty answer to run the checker's self-test on");
+    out->FailRun("no correct non-empty answer to run the checker's self-test "
+                 "on");
   } else {
     const std::string error =
         SelfTest(*graphs[self_test_query->graph].graph,
                  self_test_query->request.params, *self_test_answer);
-    if (!error.empty()) out->Fail(error);
+    if (!error.empty()) out->FailRun(error);
   }
 }
 
@@ -340,10 +339,11 @@ std::vector<Probe> ProbesFor(const std::vector<LoadedGraph>& graphs,
 }
 
 // ---------------------------------------------------------------------------
-// paper-mix and rmat-skewed: one client, whole rounds. A round clears every
-// engine's cache, runs the `once` list, then the main list twice: the first
-// request of each (graph, d, s) key in the first pass is the cold query,
-// everything after it is warm.
+// paper-mix and rmat-skewed: one client, whole rounds. The `once` list runs
+// once per run, cold and before the timed window, so it adds neither time
+// nor repeats to any figure. A round clears every engine's cache and runs
+// the main list twice: the first request of each (graph, d, s) key in the
+// first pass is the cold query, everything after it is warm.
 // ---------------------------------------------------------------------------
 
 struct RoundPlan {
@@ -369,7 +369,7 @@ Outcome RunRounds(const RunConfig& cfg, const RoundPlan& plan,
       LoadedGraph g;
       const std::string error = LoadGraph(dirs[i], plan.files[i], &g);
       if (!error.empty()) {
-        out.Fail("load " + plan.files[i] + ": " + error);
+        out.FailRun("load " + plan.files[i] + ": " + error);
         return out;
       }
       load_ms += g.stats.load_ms;
@@ -394,9 +394,8 @@ Outcome RunRounds(const RunConfig& cfg, const RoundPlan& plan,
     DccsResult result;
     QuerySample sample;
     std::string error;
-    ++out.attempted;
     if (!RunQuery(*engines[q.graph], q.request, &result, &sample, &error)) {
-      out.Fail(q.label + ": " + error);
+      out.Fail(q.label, error);
       return;
     }
     book.Record(q.label, result);
@@ -410,11 +409,12 @@ Outcome RunRounds(const RunConfig& cfg, const RoundPlan& plan,
       samples.cold_ms[key].push_back(sample.e2e_ms);
     }
   };
+  for (auto& engine : engines) engine->ClearCache();
+  for (const auto& q : plan.once) run(q, nullptr);
   const double start = Now();
   while (out.error.empty() && (Now() - start < cfg.seconds)) {
     for (auto& engine : engines) engine->ClearCache();
     std::set<std::string> cold_keys;
-    for (const auto& q : plan.once) run(q, nullptr);
     for (const auto& q : plan.passes) run(q, &cold_keys);
     for (const auto& q : plan.passes) run(q, nullptr);
   }
@@ -489,7 +489,8 @@ Outcome RunRmat(const RunConfig& cfg) {
   }
   // The known fault: TopDownDccs with the index-based RefineC returns
   // non-maximal cores on this seed-independent graph at d = 8, s = 2 and
-  // s = 3 (s = 3 on 6 layers is also what kAuto picks).
+  // s = 3 (s = 3 on 6 layers is also what kAuto picks). Each runs once per
+  // run, so every run fails exactly these two operations.
   for (int s : {2, 3}) {
     StaticQuery q;
     q.graph = 1;
@@ -521,7 +522,7 @@ Outcome RunService(const RunConfig& cfg) {
     const double start = Now();
     const std::string error = LoadGraph(cfg.input_dir, "service", &graphs[0]);
     if (!error.empty()) {
-      out.Fail("load service: " + error);
+      out.FailRun("load service: " + error);
       return out;
     }
     engine = std::make_unique<Engine>(graphs[0].graph,
@@ -557,7 +558,8 @@ Outcome RunService(const RunConfig& cfg) {
       QuerySample sample;
       std::string query_error;
       if (!RunQuery(*engine, q.request, &result, &sample, &query_error)) {
-        out.Fail(q.label + ": " + query_error);
+        out.attempted = static_cast<int64_t>(keys.size());
+        out.Fail(q.label, query_error);
         return out;
       }
       book.Record(q.label, result);
@@ -568,20 +570,21 @@ Outcome RunService(const RunConfig& cfg) {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const int clients = static_cast<int>(std::min(4u, hw));
   std::vector<std::vector<QuerySample>> per_client(clients);
-  std::vector<std::string> errors(clients);
-  std::atomic<int64_t> attempted{0};
+  // Per client: the label and error of a refused query.
+  std::vector<std::pair<std::string, std::string>> errors(clients);
   const double start = Now();
   const double deadline = start + cfg.seconds;
   std::vector<std::thread> threads;
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       size_t next = static_cast<size_t>(c) * 3;
-      while (Now() < deadline && errors[c].empty()) {
+      while (Now() < deadline) {
         const StaticQuery& q = keys[next++ % keys.size()];
         DccsResult result;
         QuerySample sample;
-        attempted.fetch_add(1, std::memory_order_relaxed);
-        if (!RunQuery(*engine, q.request, &result, &sample, &errors[c])) {
+        if (!RunQuery(*engine, q.request, &result, &sample,
+                      &errors[c].second)) {
+          errors[c].first = q.label;
           break;
         }
         book.Record(q.label, result);
@@ -592,10 +595,10 @@ Outcome RunService(const RunConfig& cfg) {
   for (auto& t : threads) t.join();
   samples.window_s = Now() - start;
   samples.peak_rss_mb = PeakRssMb();
-  out.attempted = attempted.load() +
-                  static_cast<int64_t>(keys.size()) * kServiceColdPasses;
   for (int c = 0; c < clients; ++c) {
-    if (!errors[c].empty()) out.Fail(errors[c]);
+    if (!errors[c].first.empty()) {
+      out.Fail(errors[c].first, errors[c].second);
+    }
     for (const auto& s : per_client[c]) {
       samples.query_ms.push_back(s.e2e_ms);
       samples.ledger.push_back(s);
@@ -804,7 +807,7 @@ Outcome RunChurn(const RunConfig& cfg) {
     const double start = Now();
     const std::string error = LoadGraph(cfg.input_dir, "author", &base);
     if (!error.empty()) {
-      out.Fail("load author: " + error);
+      out.FailRun("load author: " + error);
       return out;
     }
     GraphStore::Options store_options;
@@ -827,9 +830,9 @@ Outcome RunChurn(const RunConfig& cfg) {
       DccsResult result;
       QuerySample sample;
       std::string query_error;
-      ++out.attempted;
       if (!RunQuery(*engine, polls[i], &result, &sample, &query_error)) {
-        out.Fail(query_error);
+        out.attempted = 1;
+        out.Fail(poll_label(i, 0), query_error);
         return out;
       }
       book.Record(poll_label(i, result.epoch), result);
@@ -847,7 +850,7 @@ Outcome RunChurn(const RunConfig& cfg) {
   for (const auto& request : subs) {
     auto sub = engine->Subscribe(request);
     if (!sub.ok()) {
-      out.Fail("subscribe: " + sub.status().message);
+      out.FailRun("subscribe: " + sub.status().message);
       return out;
     }
     subscriptions.push_back(std::move(sub).value());
@@ -876,7 +879,8 @@ Outcome RunChurn(const RunConfig& cfg) {
     mlcore::UpdateOutcome outcome;
   };
   std::vector<Applied> applied;
-  std::string writer_error;
+  size_t issued = 0;  // batches handed to ApplyUpdate
+  std::string writer_op, writer_error;
   const double start = Now();
   const double deadline = start + cfg.seconds;
   std::thread writer([&] {
@@ -887,26 +891,26 @@ Outcome RunChurn(const RunConfig& cfg) {
       if (a.due >= deadline) break;
       SleepUntil(a.due);
       a.began = Now();
+      ++issued;
       auto outcome = engine->ApplyUpdate(batches[i]);
       a.returned = Now();
+      writer_op = "batch " + std::to_string(i);
       if (!outcome.ok()) {
-        writer_error = "batch " + std::to_string(i) +
-                       " rejected: " + outcome.status().message;
+        writer_error = "rejected: " + outcome.status().message;
         break;
       }
       a.outcome = outcome.value();
       applied.push_back(a);
       expected.Apply(batches[i]);
       if (!expected.Matches(store->snapshot()->graph())) {
-        writer_error = "published epoch " +
-                       std::to_string(a.outcome.epoch) +
+        writer_error = "published epoch " + std::to_string(a.outcome.epoch) +
                        " differs from the benchmark's edge set";
         break;
       }
     }
   });
   std::vector<QuerySample> poll_samples;
-  std::string poll_error;
+  std::string poll_op, poll_error;
   // The poll cycle asks the cheap tracked-d BU request 7 times in 10, the
   // TD request twice and the untracked-d request once, so the median poll
   // sits inside the BU request's distribution and the 90th percentile
@@ -916,8 +920,10 @@ Outcome RunChurn(const RunConfig& cfg) {
     const size_t i = kPollCycle[next % std::size(kPollCycle)];
     DccsResult result;
     QuerySample sample;
-    ++out.attempted;
-    if (!RunQuery(*engine, polls[i], &result, &sample, &poll_error)) break;
+    if (!RunQuery(*engine, polls[i], &result, &sample, &poll_error)) {
+      poll_op = "poll" + std::to_string(i) + " (refused)";
+      break;
+    }
     book.Record(poll_label(i, result.epoch), result);
     poll_samples.push_back(sample);
     SleepUntil(Now() + kPollThinkS);
@@ -928,10 +934,13 @@ Outcome RunChurn(const RunConfig& cfg) {
   for (auto& sub : subscriptions) sub.Cancel();
   for (auto& t : readers) t.join();
 
-  if (!writer_error.empty()) out.Fail(writer_error);
-  if (!poll_error.empty()) out.Fail(poll_error);
-  if (!book.mismatch().empty()) out.Fail(book.mismatch());
-  out.attempted += static_cast<int64_t>(applied.size());
+  // Operations: every batch issued, every distinct polled (request, epoch)
+  // and every subscription revision.
+  out.attempted = static_cast<int64_t>(issued + book.entries().size()) +
+                  (poll_op.empty() ? 0 : 1);
+  if (!writer_error.empty()) out.Fail(writer_op, writer_error);
+  if (!poll_op.empty()) out.Fail(poll_op, poll_error);
+  book.ReportMismatches(&out);
   for (const auto& s : poll_samples) {
     samples.query_ms.push_back(s.e2e_ms);
     samples.ledger.push_back(s);
@@ -948,6 +957,9 @@ Outcome RunChurn(const RunConfig& cfg) {
   }
   std::vector<std::map<uint64_t, std::vector<const Delivered*>>> revised_at(
       subscriptions.size());
+  auto revision_label = [](size_t s, uint64_t epoch) {
+    return "sub" + std::to_string(s) + " epoch " + std::to_string(epoch);
+  };
   int64_t revisions = 0, unchanged = 0;
   for (size_t s = 0; s < subscriptions.size(); ++s) {
     for (size_t r = 0; r < delivered[s].size(); ++r) {
@@ -955,12 +967,14 @@ Outcome RunChurn(const RunConfig& cfg) {
       ++revisions;
       unchanged += d.unchanged;
       if (r > 0 && d.epoch <= delivered[s][r - 1].epoch) {
-        out.Fail("subscription revisions did not move forward at epoch " +
-                 std::to_string(d.epoch));
+        out.Fail(revision_label(s, d.epoch),
+                 "revision did not move forward from epoch " +
+                     std::to_string(delivered[s][r - 1].epoch));
       }
       revised_at[s][d.epoch].push_back(&d);
     }
   }
+  out.attempted += revisions;
   const DccsResult* self_test_answer = nullptr;
   // Checks one epoch: each polled answer against the d-CC definition, and
   // each revision against a fresh four-lane SolveDccs on a copy of the
@@ -969,14 +983,14 @@ Outcome RunChurn(const RunConfig& cfg) {
     for (const auto& [i, entry] : polled_at[epoch]) {
       const Verdict verdict = CheckAnswer(graph, polls[i].params, entry->first);
       if (!verdict.ok()) {
-        out.Fail(poll_label(i, epoch) + ": " + verdict.error);
+        out.Fail(poll_label(i, epoch), verdict.error);
       } else if (epoch == 0) {
         samples.cover_vertices += entry->first.CoverSize();
         if (self_test_answer == nullptr && !entry->first.cores.empty()) {
           self_test_answer = &entry->first;
           const std::string error =
               SelfTest(graph, polls[i].params, entry->first);
-          if (!error.empty()) out.Fail(error);
+          if (!error.empty()) out.FailRun(error);
         }
       }
     }
@@ -990,14 +1004,13 @@ Outcome RunChurn(const RunConfig& cfg) {
           mlcore::SolveDccs(copy, params, subs[s].algorithm);
       const Verdict verdict = CheckAnswer(copy, subs[s].params, fresh);
       if (!verdict.ok()) {
-        out.Fail("fresh SolveDccs at epoch " + std::to_string(epoch) + ": " +
-                 verdict.error);
+        out.Fail(revision_label(s, epoch),
+                 "fresh SolveDccs on the epoch: " + verdict.error);
       }
       for (const Delivered* d : it->second) {
         if (d->result.cores != fresh.cores) {
-          out.Fail("subscription " + std::to_string(s) +
-                   " revision at epoch " + std::to_string(epoch) +
-                   " differs from a fresh SolveDccs on that epoch");
+          out.Fail(revision_label(s, epoch),
+                   "revision differs from a fresh SolveDccs on that epoch");
         }
       }
     }
@@ -1006,21 +1019,22 @@ Outcome RunChurn(const RunConfig& cfg) {
   {
     EdgeSets expected(graph0);
     GraphStore replay(base.graph);
-    for (size_t i = 0; i < applied.size() && out.error.empty(); ++i) {
+    for (size_t i = 0; i < applied.size(); ++i) {
       expected.Apply(batches[i]);
       auto outcome = replay.ApplyUpdate(batches[i]);
       if (!outcome.ok() || outcome->epoch != applied[i].outcome.epoch ||
           !expected.Matches(replay.snapshot()->graph())) {
-        out.Fail("replaying batch " + std::to_string(i) +
-                 " did not reproduce epoch " +
-                 std::to_string(applied[i].outcome.epoch));
+        out.Fail("batch " + std::to_string(i),
+                 "replaying it did not reproduce epoch " +
+                     std::to_string(applied[i].outcome.epoch));
         break;
       }
       check_epoch(outcome->epoch, replay.snapshot()->graph());
     }
   }
   if (self_test_answer == nullptr) {
-    out.Fail("no correct non-empty answer to run the checker's self-test on");
+    out.FailRun("no correct non-empty answer to run the checker's self-test "
+                "on");
   }
 
   // Revision lag: from ApplyUpdate returning epoch e to the first revision
@@ -1080,7 +1094,7 @@ Outcome RunChurn(const RunConfig& cfg) {
       probe.params = subs[s].params;
       probe.algorithm = Resolve(subs[s], graph0.NumLayers());
       probe.expected = entry->first;
-      probe.label = "author " + poll_label(s, 0);
+      probe.label = poll_label(s, 0);
       probes.push_back(std::move(probe));
     }
     AddSearchLayerMetrics(probes, &out);
@@ -1101,7 +1115,7 @@ Outcome RunWorkload(const RunConfig& cfg) {
   } else if (cfg.workload == "service-small") {
     out = RunService(cfg);
   } else {
-    out.Fail("unknown workload " + cfg.workload);
+    out.FailRun("unknown workload " + cfg.workload);
   }
   return out;
 }

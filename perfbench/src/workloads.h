@@ -13,16 +13,9 @@
 
 namespace perfbench {
 
-/// Runs one workload for cfg.seconds and checks every answer it got.
+/// Runs one workload for cfg.seconds and checks every answer it got. Sets
+/// only the per-layer metrics of the layers the workload exercises.
 Outcome RunWorkload(const RunConfig& cfg);
-
-/// Every per-layer metric, in print order, with its unit. A workload that
-/// never exercises a layer reports 0 for it.
-struct LayerMetricDef {
-  const char* name;
-  const char* unit;
-};
-const std::vector<LayerMetricDef>& LayerMetricDefs();
 
 /// One request answered directly through the layers' public functions in
 /// the traced run (layers.cc), next to the engine's answer for it.
