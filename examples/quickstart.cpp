@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
 
   // The engine owns the graph; queries borrow its cached preprocessing.
   // Holding the snapshot pins the graph no matter what updates later
-  // publish (Engine::graph() is deprecated for exactly that reason).
+  // publish.
   mlcore::Engine engine(BuildToyGraph());
   auto snapshot = engine.store()->snapshot();
   const mlcore::MultiLayerGraph& graph = snapshot->graph();

@@ -1,76 +1,39 @@
 #include "dccs/bottom_up.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/dcc.h"
-#include "dccs/concurrent_topk.h"
-#include "dccs/cover.h"
-#include "dccs/preprocess.h"
-#include "obs/span.h"
-#include "util/task_group.h"
+#include "dccs/speculative_driver.h"
 #include "util/thread_pool.h"
-#include "util/timing.h"
 
 namespace mlcore {
 
 namespace {
 
-// Lifecycle of one speculative child evaluation (DESIGN.md §10). Exactly
-// one thread wins the kPending -> kRunning CAS — a task-group worker, or
-// the commit driver claiming the slot inline (which at search_threads == 1
-// is how every slot runs, reproducing the sequential search).
-constexpr uint8_t kSlotPending = 0;
-constexpr uint8_t kSlotRunning = 1;
-constexpr uint8_t kSlotDone = 2;
-constexpr uint8_t kSlotCancelled = 3;
-
-/// The BU-Gen search (paper Fig 3), restructured for intra-query
-/// parallelism: the recursion below is the sequential *commit driver* — it
-/// makes every pruning, ordering, recursion and top-k decision in the
-/// exact order and against the exact state of the historical sequential
-/// search — while the d-CC evaluations of lattice children (the expensive
-/// part) run as speculative tasks on a work-stealing TaskGroup. A stale
-/// published bound only launches evaluations the driver will later discard
-/// (counted as stats.speculative_evals), so results are bit-identical at
-/// any thread count. Layers are addressed by *position* in the sorted
-/// layer order (Fig 7 line 9); positions are translated back to original
-/// layer ids whenever a dCC is computed or reported.
+/// The BU-Gen search (paper Fig 3) on the speculative commit driver
+/// (DESIGN.md §10): the recursion below makes every pruning, ordering,
+/// recursion and top-k decision in the exact order and against the exact
+/// state of the sequential search, while the d-CC evaluations of lattice
+/// children (the expensive part) run as speculative tasks. A stale
+/// published bound only launches evaluations the driver later discards, so
+/// results are bit-identical at any lane count. Layers are addressed by
+/// *position* in the sorted layer order (Fig 7 line 9); positions are
+/// translated back to original layer ids whenever a dCC is computed or
+/// reported.
 class BottomUpSearch {
  public:
-  BottomUpSearch(const MultiLayerGraph& graph, const DccsParams& params,
-                 const PreprocessResult& preprocess,
-                 const std::vector<LayerId>& order,
-                 const DccsExecution& exec, DccSolver& solver,
-                 ConcurrentTopK& result, SearchStats& stats,
-                 obs::SpanId lane_parent)
-      : graph_(graph),
-        params_(params),
-        preprocess_(preprocess),
-        order_(order),
-        control_(exec.control),
-        worker_solver_(exec.worker_solver),
-        solver_(solver),
-        result_(result),
-        stats_(stats),
-        trace_(exec.trace),
-        lane_parent_(lane_parent) {
-    const int threads = std::max(1, exec.search_threads);
-    if (threads > 1) {
-      lane_solvers_.resize(static_cast<size_t>(threads), nullptr);
-      owned_solvers_.resize(static_cast<size_t>(threads));
-      group_.emplace(threads);
-      if (obs::kEnabled && trace_ != nullptr) {
-        lane_obs_.resize(static_cast<size_t>(threads));
-      }
-    }
-  }
+  explicit BottomUpSearch(const LatticeInputs& in)
+      : params_(in.params),
+        preprocess_(in.preprocess),
+        order_(in.order),
+        result_(in.top_k),
+        stats_(in.stats),
+        num_layers_(in.graph.NumLayers()),
+        driver_(in.graph, in.params, in.exec, in.solver, in.stats,
+                in.search_span) {}
 
   void Run() {
     auto root = std::make_shared<Node>();
@@ -79,30 +42,13 @@ class BottomUpSearch {
     Prepare(*root);
     SpawnEvals(root);
     Gen(root);
-    if (!lane_obs_.empty()) {
-      // Joining here (instead of at destruction) quiesces the lanes so the
-      // per-lane aggregates below are complete; stale speculative tasks
-      // are discarded either way.
-      group_.reset();
-      CommitLaneSpans();
-    }
-  }
-
-  /// dCC evaluations the commit driver consumed — the deterministic part
-  /// of candidates_generated.
-  int64_t committed_calls() const { return committed_calls_; }
-  /// All dCC evaluations performed, including speculative ones whose slot
-  /// was never committed; thread-count-dependent.
-  int64_t executed_calls() const {
-    return executed_calls_.load(std::memory_order_relaxed);
+    driver_.Finish();
   }
 
  private:
-  struct EvalSlot {
+  struct EvalSlot : SpeculativeSlot {
     LayerSet ids;     // the child's L translated to layer ids
     VertexSet core;   // output: C^d_L of the child
-    int64_t solver_calls = 0;
-    std::atomic<uint8_t> state{kSlotPending};
   };
 
   /// One prepared lattice node: its children's scopes and evaluation
@@ -120,47 +66,30 @@ class BottomUpSearch {
     std::unique_ptr<EvalSlot[]> slots;
   };
 
-  // Cooperative checkpoint, polled by the driver once per committed child
-  // (a subset-lattice node boundary): the anytime time_budget_seconds,
-  // plus the injected QueryControl's cancellation/deadline. When any fires
-  // the search unwinds; for budget/deadline the temporary top-k set
-  // becomes the (anytime) result, for cancellation the caller discards it.
-  bool StopRequested() {
-    if (stats_.stopped != QueryStop::kNone) return true;
-    return LatchQueryStop(
-        CheckQueryStop(control_, params_.time_budget_seconds, timer_),
-        &stats_);
-  }
-
   const VertexSet& CoreAtPosition(int pos) const {
     return preprocess_.layer_cores[static_cast<size_t>(
         order_[static_cast<size_t>(pos)])];
   }
 
-  DccSolver& SolverFor(int worker) {
-    if (worker == 0) return solver_;
-    DccSolver*& lane = lane_solvers_[static_cast<size_t>(worker)];
-    // Each lane is serviced by exactly one thread, so lazy init is
-    // race-free without synchronisation.
-    if (lane == nullptr) {
-      if (worker_solver_) {
-        lane = worker_solver_(worker);
-      } else {
-        owned_solvers_[static_cast<size_t>(worker)] =
-            std::make_unique<DccSolver>(graph_);
-        lane = owned_solvers_[static_cast<size_t>(worker)].get();
-      }
-    }
-    return *lane;
+  /// The evaluation of child `idx`: C^d_L inside its scope.
+  auto Evaluation(Node& node, size_t idx) const {
+    return [this, &node, idx](int /*lane*/, DccSolver& solver) {
+      EvalSlot& slot = node.slots[idx];
+      solver.Compute(slot.ids, params_.d, node.scopes[idx], &slot.core,
+                     params_.dcc_engine);
+    };
+  }
+
+  void CancelPending(Node& node) {
+    SpeculativeDriver::CancelPending(node.slots.get(), node.expandable.size());
   }
 
   /// Computes LP, the per-child scopes and the child evaluation slots.
   /// Pure derivation from the node's (positions, core, excluded) — safe to
   /// run any time before the node is committed.
   void Prepare(Node& node) {
-    const int l = graph_.NumLayers();
     const int max_pos = node.positions.empty() ? -1 : node.positions.back();
-    for (int j = max_pos + 1; j < l; ++j) {
+    for (int j = max_pos + 1; j < num_layers_; ++j) {
       if ((node.excluded >> j) & 1) continue;
       node.expandable.push_back(j);
     }
@@ -185,7 +114,7 @@ class BottomUpSearch {
   /// launched: if the driver nevertheless needs one (the published bound
   /// was stale), it claims the still-pending slot inline.
   void SpawnEvals(const std::shared_ptr<Node>& node) {
-    if (!group_) return;
+    if (!driver_.parallel()) return;
     const size_t n = node->expandable.size();
     if (n == 0) return;
     spawn_order_.clear();
@@ -201,64 +130,7 @@ class BottomUpSearch {
               static_cast<int64_t>(node->scopes[idx].size()))) {
         continue;
       }
-      group_->Spawn(0, [this, node, idx](int worker) {
-        RunEval(*node, idx, worker);
-      });
-    }
-  }
-
-  /// Claims and runs one child evaluation; no-op when another thread (or a
-  /// cancellation) already owns the slot.
-  void RunEval(Node& node, size_t idx, int worker) {
-    EvalSlot& slot = node.slots[idx];
-    uint8_t expected = kSlotPending;
-    if (!slot.state.compare_exchange_strong(expected, kSlotRunning,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-      return;
-    }
-    DccSolver& solver = SolverFor(worker);
-    const int64_t before = solver.num_calls();
-    if (LaneObs* lane = LaneFor(worker)) {
-      WallTimer busy;
-      ThreadCpuTimer cpu;
-      solver.Compute(slot.ids, params_.d, node.scopes[idx], &slot.core,
-                     params_.dcc_engine);
-      lane->busy_seconds += busy.Seconds();
-      const double cpu_seconds = cpu.Seconds();
-      if (cpu_seconds > 0) lane->cpu_seconds += cpu_seconds;
-      ++lane->evals;
-    } else {
-      solver.Compute(slot.ids, params_.d, node.scopes[idx], &slot.core,
-                     params_.dcc_engine);
-    }
-    slot.solver_calls = solver.num_calls() - before;
-    executed_calls_.fetch_add(slot.solver_calls, std::memory_order_relaxed);
-    slot.state.store(kSlotDone, std::memory_order_release);
-  }
-
-  /// Blocks (productively) until the slot's evaluation exists: claims an
-  /// unclaimed slot inline, otherwise helps drain the task group while a
-  /// worker finishes it.
-  EvalSlot& WaitSlot(Node& node, size_t idx) {
-    EvalSlot& slot = node.slots[idx];
-    RunEval(node, idx, 0);
-    while (slot.state.load(std::memory_order_acquire) != kSlotDone) {
-      if (!group_ || !group_->TryRunOne(0)) std::this_thread::yield();
-    }
-    return slot;
-  }
-
-  void CancelSlot(EvalSlot& slot) {
-    uint8_t expected = kSlotPending;
-    slot.state.compare_exchange_strong(expected, kSlotCancelled,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire);
-  }
-
-  void CancelPending(Node& node) {
-    for (size_t idx = 0; idx < node.expandable.size(); ++idx) {
-      CancelSlot(node.slots[idx]);
+      driver_.Spawn(node, node->slots[idx], Evaluation(*node, idx));
     }
   }
 
@@ -280,14 +152,14 @@ class BottomUpSearch {
     if (!result_.full()) {
       // Lines 2–9: no pruning is applicable while |R| < k.
       for (size_t idx = 0; idx < n; ++idx) {
-        if (StopRequested()) {
+        if (driver_.StopRequested()) {
           CancelPending(*node);
           return;
         }
         const int j = node->expandable[idx];
         ++stats_.nodes_visited;
-        EvalSlot& slot = WaitSlot(*node, idx);
-        committed_calls_ += slot.solver_calls;
+        EvalSlot& slot = node->slots[idx];
+        driver_.WaitSlot(slot, Evaluation(*node, idx));
         if (leaf) {
           if (result_.Update(slot.core, slot.ids)) {
             ++stats_.updates_accepted;
@@ -308,7 +180,7 @@ class BottomUpSearch {
                          return node->scopes[a].size() > node->scopes[b].size();
                        });
       for (size_t rank = 0; rank < n; ++rank) {
-        if (StopRequested()) {
+        if (driver_.StopRequested()) {
           CancelPending(*node);
           return;
         }
@@ -319,13 +191,13 @@ class BottomUpSearch {
           // Lemma 3: this and all later children in the order are hopeless.
           stats_.pruned_order += static_cast<int64_t>(n - rank);
           for (size_t r = rank; r < n; ++r) {
-            CancelSlot(node->slots[order_buf_[r]]);
+            SpeculativeDriver::CancelSlot(node->slots[order_buf_[r]]);
           }
           break;
         }
         ++stats_.nodes_visited;
-        EvalSlot& slot = WaitSlot(*node, idx);
-        committed_calls_ += slot.solver_calls;
+        EvalSlot& slot = node->slots[idx];
+        driver_.WaitSlot(slot, Evaluation(*node, idx));
         if (leaf) {
           if (result_.Update(slot.core, slot.ids)) {
             ++stats_.updates_accepted;
@@ -368,7 +240,7 @@ class BottomUpSearch {
       children.push_back(std::move(child));
     }
     for (size_t c = 0; c < children.size(); ++c) {
-      if (StopRequested()) {
+      if (driver_.StopRequested()) {
         for (size_t rest = c; rest < children.size(); ++rest) {
           CancelPending(*children[rest]);
         }
@@ -378,60 +250,21 @@ class BottomUpSearch {
     }
   }
 
-  /// One "search.lane" span per TaskGroup lane, aggregating the lane's
-  /// claimed-evaluation busy time (wall + thread CPU). Lane entries are
-  /// single-writer while the group runs; committed only after the group
-  /// joins. Cache-line aligned so lanes never false-share.
-  struct alignas(64) LaneObs {
-    double busy_seconds = 0;
-    double cpu_seconds = 0;
-    int64_t evals = 0;
-  };
-
-  LaneObs* LaneFor(int worker) {
-    return lane_obs_.empty() ? nullptr
-                             : &lane_obs_[static_cast<size_t>(worker)];
-  }
-
-  void CommitLaneSpans() {
-    for (const LaneObs& lane : lane_obs_) {
-      if (lane.evals == 0) continue;
-      trace_->Add("search.lane", lane_parent_, trace_->AgeMs(),
-                  lane.busy_seconds * 1e3,
-                  lane.cpu_seconds > 0 ? lane.cpu_seconds * 1e3 : -1);
-    }
-  }
-
-  const MultiLayerGraph& graph_;
   const DccsParams& params_;
   const PreprocessResult& preprocess_;
   const std::vector<LayerId>& order_;
-  const QueryControl* control_;
-  const std::function<DccSolver*(int worker)> worker_solver_;
-  DccSolver& solver_;
   ConcurrentTopK& result_;
   SearchStats& stats_;
-  obs::Trace* trace_;
-  const obs::SpanId lane_parent_;
-  std::vector<LaneObs> lane_obs_;
-  WallTimer timer_;
-
-  int64_t committed_calls_ = 0;
-  std::atomic<int64_t> executed_calls_{0};
+  const int num_layers_;
 
   // Driver-side reusable buffers (never touched by tasks).
   LayerSet positions_buf_;
   std::vector<size_t> order_buf_, spawn_order_;
 
-  // Lane 0 uses solver_; other lanes resolve through worker_solver_ or an
-  // owned per-lane fallback, each lane single-threaded by construction.
-  std::vector<DccSolver*> lane_solvers_;
-  std::vector<std::unique_ptr<DccSolver>> owned_solvers_;
-
   // Last member: destroyed first, so in-flight task closures (which
   // reference this object and its nodes) finish before anything above
   // goes away.
-  std::optional<TaskGroup> group_;
+  SpeculativeDriver driver_;
 };
 
 }  // namespace
@@ -450,94 +283,13 @@ DccsResult BottomUpDccs(const MultiLayerGraph& graph,
 
 DccsResult BottomUpDccs(const MultiLayerGraph& graph, const DccsParams& params,
                         const DccsExecution& exec) {
-  // Guaranteed by Engine::Validate on every request path; debug-only so a
-  // malformed direct call still trips in development builds.
-  MLCORE_DCHECK(params.s >= 1);
-  MLCORE_DCHECK(params.k >= 1);
-
-  WallTimer total_timer;
-  DccsResult result;
-  if (params.s > graph.NumLayers() || graph.NumLayers() > 64) {
-    // > 64 layers: the lattice's word-sized position masks cannot represent
-    // the layer subsets. Library callers get the same (empty) result as the
-    // vacuous s > l case; the Engine rejects such requests up front with
-    // kInvalidArgument instead of ever dispatching here (DESIGN.md §5).
-    result.stats.total_seconds = total_timer.Seconds();
-    return result;
-  }
-
-  // Fig 7 lines 1–7: vertex deletion, unless the caller injected a cached
-  // §IV-C result (then preprocess_seconds stays 0; the host reports the
-  // true acquisition cost).
-  std::optional<PreprocessResult> local_preprocess;
-  if (exec.preprocess == nullptr) {
-    obs::Span preprocess_span(exec.trace, "query.preprocess",
-                              exec.trace_parent);
-    local_preprocess =
-        Preprocess(graph, params.d, params.s, params.vertex_deletion,
-                   exec.pool, /*base_cores=*/nullptr, exec.control);
-    result.stats.preprocess_seconds = local_preprocess->seconds;
-    if (local_preprocess->stopped != QueryStop::kNone) {
-      // Cancelled/deadline-expired before the fixpoint completed: no search
-      // phase, no usable (partial) preprocessing.
-      result.stats.stopped = local_preprocess->stopped;
-      result.stats.total_seconds = total_timer.Seconds();
-      return result;
-    }
-  }
-  const PreprocessResult& preprocess =
-      exec.preprocess != nullptr ? *exec.preprocess : *local_preprocess;
-
-  obs::Span search_span(exec.trace, "query.search", exec.trace_parent);
-  const WallTimer& search_timer = search_span.timer();
-  std::optional<DccSolver> local_solver;
-  if (exec.solver == nullptr) local_solver.emplace(graph);
-  DccSolver& solver = exec.solver != nullptr ? *exec.solver : *local_solver;
-
-  // Fig 7 line 8: greedy initialisation of R (Appendix D) — replayed from a
-  // cached capture, copied from an already-seeded prototype, or computed.
-  // All three leave the identical seeded state; the capture's recorded dCC
-  // evaluations keep candidates_generated exact.
-  CoverageIndex seeded(params.k);
-  int64_t seed_calls = 0;
-  if (exec.seeded_topk != nullptr) {
-    seeded = *exec.seeded_topk;
-    seed_calls = exec.seeds != nullptr ? exec.seeds->solver_calls : 0;
-  } else if (exec.seeds != nullptr) {
-    ReplayInitSeeds(*exec.seeds, seeded);
-    seed_calls = exec.seeds->solver_calls;
-  } else {
-    const int64_t calls_before = solver.num_calls();
-    InitTopK(graph, params, preprocess, solver, seeded);
-    seed_calls = solver.num_calls() - calls_before;
-  }
-  // Fig 7 line 9: sort layers by |C^d(G_i)| descending (cached by the
-  // Engine per query entry).
-  std::optional<std::vector<LayerId>> local_order;
-  if (exec.layer_order == nullptr) {
-    local_order =
-        SortedLayerOrder(preprocess, /*descending=*/true, params.sort_layers);
-  }
-  const std::vector<LayerId>& order =
-      exec.layer_order != nullptr ? *exec.layer_order : *local_order;
-
-  // Fig 7 line 10: recursive candidate generation (the commit driver),
-  // with child evaluations fanned out over exec.search_threads lanes.
-  ConcurrentTopK top_k(std::move(seeded));
-  BottomUpSearch search(graph, params, preprocess, order, exec, solver, top_k,
-                        result.stats, search_span.id());
-  search.Run();
-  search_span.End();
-
-  obs::Span cover_span(exec.trace, "query.cover", exec.trace_parent);
-  result.cores = top_k.index().entries();
-  cover_span.End();
-  result.stats.candidates_generated = seed_calls + search.committed_calls();
-  result.stats.speculative_evals =
-      search.executed_calls() - search.committed_calls();
-  result.stats.search_seconds = search_timer.Seconds();
-  result.stats.total_seconds = total_timer.Seconds();
-  return result;
+  // Fig 7 lines 1–9 run in the shared entry sequence; line 10, the
+  // recursive candidate generation, is the search.
+  return RunLatticeSearch(graph, params, exec, /*descending_order=*/true,
+                          [](const LatticeInputs& in) {
+                            BottomUpSearch search(in);
+                            search.Run();
+                          });
 }
 
 }  // namespace mlcore

@@ -8,6 +8,7 @@
 #include "core/dcc.h"
 #include "core/fds.h"
 #include "dccs/preprocess.h"
+#include "dccs/speculative_driver.h"
 #include "obs/span.h"
 #include "util/bitset.h"
 #include "util/thread_pool.h"
@@ -37,21 +38,13 @@ DccsResult GreedyDccs(const MultiLayerGraph& graph, const DccsParams& params,
 
   ThreadPool* pool = exec.pool;
   std::optional<PreprocessResult> local_preprocess;
-  if (exec.preprocess == nullptr) {
-    obs::Span preprocess_span(exec.trace, "query.preprocess",
-                              exec.trace_parent);
-    local_preprocess =
-        Preprocess(graph, params.d, params.s, params.vertex_deletion, pool,
-                   /*base_cores=*/nullptr, exec.control);
-    result.stats.preprocess_seconds = local_preprocess->seconds;
-    if (local_preprocess->stopped != QueryStop::kNone) {
-      result.stats.stopped = local_preprocess->stopped;
-      result.stats.total_seconds = total_timer.Seconds();
-      return result;
-    }
+  const PreprocessResult* acquired =
+      AcquirePreprocess(graph, params, exec, &local_preprocess, &result.stats);
+  if (acquired == nullptr) {
+    result.stats.total_seconds = total_timer.Seconds();
+    return result;
   }
-  const PreprocessResult& preprocess =
-      exec.preprocess != nullptr ? *exec.preprocess : *local_preprocess;
+  const PreprocessResult& preprocess = *acquired;
 
   // The span's stopwatch doubles as the budget clock for check_stop, so
   // the recorded search phase and the budget semantics share one timer.

@@ -66,10 +66,12 @@ struct DccsParams {
   bool init_result = true;
 
   // --- Top-down specific. ---
-  /// Use the index-based RefineC search of §V-C (true) or the reference
-  /// Lemma 8 scope + dCC peeling (false). Both compute the identical d-CC;
-  /// see DESIGN.md.
-  bool use_index_refinec = true;
+  /// RefineC path: the reference Lemma 8 stage bound + dCC peeling
+  /// (false, exact), or the index-based §V-C search (true). The indexed
+  /// path is unsound: it can return d-dense cores that are strict subsets
+  /// of C^d_L(G) (DESIGN.md §3). It stays selectable only for callers that
+  /// still request it by name.
+  bool use_index_refinec = false;
 };
 
 /// One returned d-CC: the layer subset L (|L| = s) and C^d_L(G).

@@ -1,35 +1,21 @@
 #include "dccs/top_down.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/dcc.h"
-#include "dccs/concurrent_topk.h"
-#include "dccs/cover.h"
-#include "dccs/preprocess.h"
+#include "dccs/speculative_driver.h"
 #include "dccs/vertex_index.h"
-#include "obs/span.h"
 #include "util/bitset.h"
 #include "util/rng.h"
-#include "util/task_group.h"
 #include "util/thread_pool.h"
-#include "util/timing.h"
 
 namespace mlcore {
 
 namespace {
-
-// Slot lifecycle shared with the bottom-up search; see DESIGN.md §10.
-constexpr uint8_t kSlotPending = 0;
-constexpr uint8_t kSlotRunning = 1;
-constexpr uint8_t kSlotDone = 2;
-constexpr uint8_t kSlotCancelled = 3;
 
 // Largest position missing from sorted `positions`, or -1 if none below
 // l. l ≤ 64 (validated at entry), so a word-sized mask replaces the Bitset
@@ -67,8 +53,6 @@ class TdRefiner {
                    static_cast<size_t>(graph.NumLayers()),
                0),
         in_z_(static_cast<size_t>(graph.NumVertices())) {}
-
-  DccSolver& solver() { return solver_; }
 
   // RefineU (Fig 9): shrinks the parent's potential set to U^d_{L'}.
   // Refinement Method 2 filters by support over the Class-2 layers against
@@ -135,12 +119,13 @@ class TdRefiner {
     PositionsToLayerIds(order_, positions, ids);
   }
 
-  // The index-based Fig 10 search in the two-pass form justified by
-  // Lemma 9: (1) keep only vertices reachable through a level-monotone
-  // chain of index edges from a vertex whose label L(w) covers L'; (2) peel
-  // the reached set to d-density on L'. Fig 10's single fused sweep
-  // (states + CascadeD) discards reachable vertices on mixed levels and
-  // under-approximates the d-CC; see DESIGN.md §3.
+  // The index-based Fig 10 search in two passes: (1) keep only vertices
+  // reachable through a level-monotone chain of index edges from a vertex
+  // whose label L(w) covers L'; (2) peel the reached set to d-density on
+  // L'. Pass 1 is unsound — a core member can leave an L'-layer core by
+  // cascade while still alive, and same-level neighbours never propagate —
+  // so the result can be a strict subset of the d-CC (DESIGN.md §3). Off by
+  // default.
   void RefineCIndexed(const VertexSet& scope, const LayerSet& ids,
                       VertexSet* out);
 
@@ -272,47 +257,28 @@ void TdRefiner::RefineCIndexed(const VertexSet& scope, const LayerSet& ids,
   }
 }
 
-/// TD-Gen (paper Fig 8), restructured like BottomUpSearch: this class is
-/// the sequential commit driver — it owns every pruning test, Update, rng
-/// draw (Lemma 7) and stats increment, applied in the exact order of the
-/// historical sequential search — while the per-child RefineU/RefineC
-/// materialisations (all of the heavy lifting) run as tasks on a
-/// work-stealing TaskGroup. The sequential search materialises *every*
-/// child of a visited node before pruning any of them (Fig 8 lines 2–5),
-/// so unlike the bottom-up case these tasks are not speculative: the only
-/// wasted work is what a mid-node stop request abandons.
+/// TD-Gen (paper Fig 8) on the speculative commit driver (DESIGN.md §10):
+/// the recursion below owns every pruning test, Update, rng draw (Lemma 7)
+/// and stats increment, applied in the exact order of the sequential
+/// search, while the per-child RefineU/RefineC materialisations (all of the
+/// heavy lifting) run as tasks on the driver's lanes. The sequential search
+/// materialises *every* child of a visited node before pruning any of them
+/// (Fig 8 lines 2–5), so unlike the bottom-up case these tasks are not
+/// speculative: the only wasted work is what a mid-node stop abandons.
 class TopDownSearch {
  public:
-  TopDownSearch(const MultiLayerGraph& graph, const DccsParams& params,
-                const PreprocessResult& preprocess,
-                const std::vector<LayerId>& order,
-                const VertexLevelIndex& index, const DccsExecution& exec,
-                DccSolver& solver, ConcurrentTopK& result, SearchStats& stats,
-                obs::SpanId lane_parent)
-      : graph_(graph),
-        params_(params),
-        preprocess_(preprocess),
-        order_(order),
+  TopDownSearch(const LatticeInputs& in, const VertexLevelIndex& index)
+      : graph_(in.graph),
+        params_(in.params),
+        preprocess_(in.preprocess),
+        order_(in.order),
         index_(index),
-        control_(exec.control),
-        worker_solver_(exec.worker_solver),
-        solver_(solver),
-        result_(result),
-        stats_(stats),
-        trace_(exec.trace),
-        lane_parent_(lane_parent),
-        rng_(kSeed) {
-    const int threads = std::max(1, exec.search_threads);
-    lane_refiners_.resize(static_cast<size_t>(std::max(1, threads)));
-    owned_solvers_.resize(static_cast<size_t>(std::max(1, threads)));
-    lane_refiners_[0] = std::make_unique<TdRefiner>(
-        graph_, params_, preprocess_, order_, index_, solver_);
-    if (threads > 1) {
-      group_.emplace(threads);
-      if (obs::kEnabled && trace_ != nullptr) {
-        lane_obs_.resize(static_cast<size_t>(threads));
-      }
-    }
+        result_(in.top_k),
+        stats_(in.stats),
+        rng_(kSeed),
+        driver_(in.graph, in.params, in.exec, in.solver, in.stats,
+                in.search_span) {
+    lane_refiners_.resize(static_cast<size_t>(driver_.lanes()));
   }
 
   void Run() {
@@ -320,37 +286,24 @@ class TopDownSearch {
     LayerSet root_positions(static_cast<size_t>(l));
     for (int j = 0; j < l; ++j) root_positions[static_cast<size_t>(j)] = j;
     // Fig 11 line 4: the root d-CC w.r.t. all layers.
-    const int64_t before = solver_.num_calls();
-    VertexSet root_core =
-        solver_.Compute(ToLayerIds(root_positions), params_.d,
-                        preprocess_.active, params_.dcc_engine);
-    driver_calls_ += solver_.num_calls() - before;
+    VertexSet root_core;
+    driver_.RunInline([&](DccSolver& solver) {
+      root_core = solver.Compute(ToLayerIds(root_positions), params_.d,
+                                 preprocess_.active, params_.dcc_engine);
+    });
     if (params_.s == l) {
       if (result_.Update(root_core, ToLayerIds(root_positions))) {
         ++stats_.updates_accepted;
       }
-      return;
+    } else {
+      auto root = std::make_shared<Node>();
+      root->positions = std::move(root_positions);
+      root->potential = &preprocess_.active;
+      Prepare(*root);
+      SpawnMaterialise(root);
+      Gen(root);
     }
-    auto root = std::make_shared<Node>();
-    root->positions = std::move(root_positions);
-    root->potential = &preprocess_.active;
-    Prepare(*root);
-    SpawnMaterialise(root);
-    Gen(root);
-    if (!lane_obs_.empty()) {
-      // Join the lanes here so the per-lane aggregates are complete before
-      // they are committed as spans (see BottomUpSearch::Run).
-      group_.reset();
-      CommitLaneSpans();
-    }
-  }
-
-  int64_t committed_calls() const {
-    return driver_calls_ + committed_slot_calls_;
-  }
-  int64_t speculative_calls() const {
-    return executed_slot_calls_.load(std::memory_order_relaxed) -
-           committed_slot_calls_;
+    driver_.Finish();
   }
 
  private:
@@ -358,12 +311,10 @@ class TopDownSearch {
 
   /// One materialised-or-in-flight child (Fig 8 lines 2–5): L' and the
   /// refined U^d_{L'} / C^d_{L'} outputs.
-  struct ChildSlot {
+  struct ChildSlot : SpeculativeSlot {
     LayerSet positions;
     VertexSet potential;
     VertexSet core;
-    int64_t solver_calls = 0;
-    std::atomic<uint8_t> state{kSlotPending};
   };
 
   /// A visited lattice node whose children are being materialised. Shared
@@ -376,16 +327,6 @@ class TopDownSearch {
     std::unique_ptr<ChildSlot[]> slots;
   };
 
-  // Cooperative checkpoint at subset-lattice node boundaries: the anytime
-  // time_budget_seconds plus the injected QueryControl (cancellation /
-  // wall-clock deadline) — see BottomUpSearch::StopRequested.
-  bool StopRequested() {
-    if (stats_.stopped != QueryStop::kNone) return true;
-    return LatchQueryStop(
-        CheckQueryStop(control_, params_.time_budget_seconds, timer_),
-        &stats_);
-  }
-
   LayerSet ToLayerIds(const LayerSet& positions) const {
     LayerSet ids;
     ToLayerIdsInto(positions, &ids);
@@ -397,24 +338,27 @@ class TopDownSearch {
     PositionsToLayerIds(order_, positions, ids);
   }
 
-  TdRefiner& RefinerFor(int worker) {
-    std::unique_ptr<TdRefiner>& lane =
-        lane_refiners_[static_cast<size_t>(worker)];
-    // Each lane is serviced by exactly one thread (lane 0 = the driver),
-    // so lazy init is race-free without synchronisation.
-    if (lane == nullptr) {
-      DccSolver* solver = nullptr;
-      if (worker_solver_) {
-        solver = worker_solver_(worker);
-      } else {
-        owned_solvers_[static_cast<size_t>(worker)] =
-            std::make_unique<DccSolver>(graph_);
-        solver = owned_solvers_[static_cast<size_t>(worker)].get();
-      }
-      lane = std::make_unique<TdRefiner>(graph_, params_, preprocess_, order_,
-                                         index_, *solver);
+  /// The lane's refiner, built on first use over the lane's solver. Each
+  /// lane is serviced by exactly one thread (lane 0 = the driver), so lazy
+  /// init is race-free without synchronisation.
+  TdRefiner& RefinerFor(int lane, DccSolver& solver) {
+    std::unique_ptr<TdRefiner>& refiner =
+        lane_refiners_[static_cast<size_t>(lane)];
+    if (refiner == nullptr) {
+      refiner = std::make_unique<TdRefiner>(graph_, params_, preprocess_,
+                                            order_, index_, solver);
     }
-    return *lane;
+    return *refiner;
+  }
+
+  /// The materialisation of child `idx`: RefineU, then RefineC inside it.
+  auto Materialisation(Node& node, size_t idx) {
+    return [this, &node, idx](int lane, DccSolver& solver) {
+      ChildSlot& slot = node.slots[idx];
+      TdRefiner& refiner = RefinerFor(lane, solver);
+      refiner.RefineU(*node.potential, slot.positions, &slot.potential);
+      refiner.RefineC(slot.potential, slot.positions, &slot.core);
+    };
   }
 
   /// Computes LR and the child slots (child layer sets only — the refined
@@ -437,58 +381,8 @@ class TopDownSearch {
   }
 
   void SpawnMaterialise(const std::shared_ptr<Node>& node) {
-    if (!group_) return;
     for (size_t idx = 0; idx < node->removable.size(); ++idx) {
-      group_->Spawn(0, [this, node, idx](int worker) {
-        RunMaterialise(*node, idx, worker);
-      });
-    }
-  }
-
-  void RunMaterialise(Node& node, size_t idx, int worker) {
-    ChildSlot& slot = node.slots[idx];
-    uint8_t expected = kSlotPending;
-    if (!slot.state.compare_exchange_strong(expected, kSlotRunning,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-      return;
-    }
-    TdRefiner& refiner = RefinerFor(worker);
-    const int64_t before = refiner.solver().num_calls();
-    if (LaneObs* lane = LaneFor(worker)) {
-      WallTimer busy;
-      ThreadCpuTimer cpu;
-      refiner.RefineU(*node.potential, slot.positions, &slot.potential);
-      refiner.RefineC(slot.potential, slot.positions, &slot.core);
-      lane->busy_seconds += busy.Seconds();
-      const double cpu_seconds = cpu.Seconds();
-      if (cpu_seconds > 0) lane->cpu_seconds += cpu_seconds;
-      ++lane->evals;
-    } else {
-      refiner.RefineU(*node.potential, slot.positions, &slot.potential);
-      refiner.RefineC(slot.potential, slot.positions, &slot.core);
-    }
-    slot.solver_calls = refiner.solver().num_calls() - before;
-    executed_slot_calls_.fetch_add(slot.solver_calls,
-                                   std::memory_order_relaxed);
-    slot.state.store(kSlotDone, std::memory_order_release);
-  }
-
-  ChildSlot& WaitSlot(Node& node, size_t idx) {
-    ChildSlot& slot = node.slots[idx];
-    RunMaterialise(node, idx, 0);
-    while (slot.state.load(std::memory_order_acquire) != kSlotDone) {
-      if (!group_ || !group_->TryRunOne(0)) std::this_thread::yield();
-    }
-    return slot;
-  }
-
-  void CancelPending(Node& node) {
-    for (size_t idx = 0; idx < node.removable.size(); ++idx) {
-      uint8_t expected = kSlotPending;
-      node.slots[idx].state.compare_exchange_strong(
-          expected, kSlotCancelled, std::memory_order_acq_rel,
-          std::memory_order_acquire);
+      driver_.Spawn(node, node->slots[idx], Materialisation(*node, idx));
     }
   }
 
@@ -512,21 +406,20 @@ class TopDownSearch {
     if (n == 0) return;
 
     // Lines 2–5: materialise every child's U and C up front — committed in
-    // removable order; the refinement work itself runs on the task group.
+    // removable order; the refinement work itself runs on the lanes.
     for (size_t idx = 0; idx < n; ++idx) {
-      if (StopRequested()) {
-        CancelPending(*node);
+      if (driver_.StopRequested()) {
+        SpeculativeDriver::CancelPending(node->slots.get(), n);
         return;
       }
       ++stats_.nodes_visited;
-      ChildSlot& slot = WaitSlot(*node, idx);
-      committed_slot_calls_ += slot.solver_calls;
+      driver_.WaitSlot(node->slots[idx], Materialisation(*node, idx));
     }
 
     if (!result_.full()) {
       // Cases 1–2 (lines 6–12).
       for (size_t idx = 0; idx < n; ++idx) {
-        if (StopRequested()) return;
+        if (driver_.StopRequested()) return;
         ChildSlot& slot = node->slots[idx];
         if (depth - 1 == params_.s) {
           ToLayerIdsInto(slot.positions, &ids_buf_);
@@ -550,7 +443,7 @@ class TopDownSearch {
                               node->slots[b].potential.size();
                      });
     for (size_t rank = 0; rank < n; ++rank) {
-      if (StopRequested()) return;
+      if (driver_.StopRequested()) return;
       ChildSlot& slot = node->slots[by_potential[rank]];
       if (result_.BelowOrderThreshold(
               static_cast<int64_t>(slot.potential.size()))) {
@@ -616,34 +509,12 @@ class TopDownSearch {
       if (index_.stage(v) >= params_.s) scope_buf_.push_back(v);
     }
     ToLayerIdsInto(descendant, &ids_buf_);
-    const int64_t before = solver_.num_calls();
-    solver_.Compute(ids_buf_, params_.d, scope_buf_, &core_buf_,
-                    params_.dcc_engine);
-    driver_calls_ += solver_.num_calls() - before;
+    driver_.RunInline([&](DccSolver& solver) {
+      solver.Compute(ids_buf_, params_.d, scope_buf_, &core_buf_,
+                     params_.dcc_engine);
+    });
     if (result_.Update(core_buf_, ids_buf_)) ++stats_.updates_accepted;
     return true;
-  }
-
-  /// Per-lane busy-time aggregates, committed as "search.lane" spans after
-  /// the group joins (see BottomUpSearch::LaneObs).
-  struct alignas(64) LaneObs {
-    double busy_seconds = 0;
-    double cpu_seconds = 0;
-    int64_t evals = 0;
-  };
-
-  LaneObs* LaneFor(int worker) {
-    return lane_obs_.empty() ? nullptr
-                             : &lane_obs_[static_cast<size_t>(worker)];
-  }
-
-  void CommitLaneSpans() {
-    for (const LaneObs& lane : lane_obs_) {
-      if (lane.evals == 0) continue;
-      trace_->Add("search.lane", lane_parent_, trace_->AgeMs(),
-                  lane.busy_seconds * 1e3,
-                  lane.cpu_seconds > 0 ? lane.cpu_seconds * 1e3 : -1);
-    }
   }
 
   const MultiLayerGraph& graph_;
@@ -651,33 +522,20 @@ class TopDownSearch {
   const PreprocessResult& preprocess_;
   const std::vector<LayerId>& order_;
   const VertexLevelIndex& index_;
-  const QueryControl* control_;
-  const std::function<DccSolver*(int worker)> worker_solver_;
-  DccSolver& solver_;
   ConcurrentTopK& result_;
   SearchStats& stats_;
-  obs::Trace* trace_;
-  const obs::SpanId lane_parent_;
-  std::vector<LaneObs> lane_obs_;
   Rng rng_;
-  WallTimer timer_;
-
-  int64_t driver_calls_ = 0;           // root core + Lemma 7 shortcuts
-  int64_t committed_slot_calls_ = 0;   // materialisations the driver used
-  std::atomic<int64_t> executed_slot_calls_{0};
 
   // Driver-side buffers for Update translations and the shortcut.
   LayerSet ids_buf_;
   VertexSet scope_buf_, core_buf_;
 
-  // Lane 0 wraps solver_; other lanes resolve through worker_solver_ or an
-  // owned fallback solver. Each lane single-threaded by construction.
+  // Indexed by lane; each lane's refiner wraps that lane's solver.
   std::vector<std::unique_ptr<TdRefiner>> lane_refiners_;
-  std::vector<std::unique_ptr<DccSolver>> owned_solvers_;
 
   // Last member: destroyed first, so in-flight task closures finish before
   // the state they reference goes away.
-  std::optional<TaskGroup> group_;
+  SpeculativeDriver driver_;
 };
 
 }  // namespace
@@ -695,91 +553,23 @@ DccsResult TopDownDccs(const MultiLayerGraph& graph, const DccsParams& params) {
 
 DccsResult TopDownDccs(const MultiLayerGraph& graph, const DccsParams& params,
                        const DccsExecution& exec) {
-  // Guaranteed by Engine::Validate on every request path; debug-only so a
-  // malformed direct call still trips in development builds.
-  MLCORE_DCHECK(params.s >= 1);
-  MLCORE_DCHECK(params.k >= 1);
-
-  WallTimer total_timer;
-  DccsResult result;
-  if (params.s > graph.NumLayers() || graph.NumLayers() > 64) {
-    // > 64 layers: see BottomUpDccs — empty result here, structured
-    // kInvalidArgument at the Engine request layer.
-    result.stats.total_seconds = total_timer.Seconds();
-    return result;
-  }
-
-  // Fig 11 line 1 = BU-DCCS lines 1–8: vertex deletion + InitTopK, both
-  // replayable from an injected execution (see BottomUpDccs).
-  std::optional<PreprocessResult> local_preprocess;
-  if (exec.preprocess == nullptr) {
-    obs::Span preprocess_span(exec.trace, "query.preprocess",
-                              exec.trace_parent);
-    local_preprocess =
-        Preprocess(graph, params.d, params.s, params.vertex_deletion,
-                   exec.pool, /*base_cores=*/nullptr, exec.control);
-    result.stats.preprocess_seconds = local_preprocess->seconds;
-    if (local_preprocess->stopped != QueryStop::kNone) {
-      result.stats.stopped = local_preprocess->stopped;
-      result.stats.total_seconds = total_timer.Seconds();
-      return result;
-    }
-  }
-  const PreprocessResult& preprocess =
-      exec.preprocess != nullptr ? *exec.preprocess : *local_preprocess;
-
-  obs::Span search_span(exec.trace, "query.search", exec.trace_parent);
-  const WallTimer& search_timer = search_span.timer();
-  std::optional<DccSolver> local_solver;
-  if (exec.solver == nullptr) local_solver.emplace(graph);
-  DccSolver& solver = exec.solver != nullptr ? *exec.solver : *local_solver;
-
-  CoverageIndex seeded(params.k);
-  int64_t seed_calls = 0;
-  if (exec.seeded_topk != nullptr) {
-    seeded = *exec.seeded_topk;
-    seed_calls = exec.seeds != nullptr ? exec.seeds->solver_calls : 0;
-  } else if (exec.seeds != nullptr) {
-    ReplayInitSeeds(*exec.seeds, seeded);
-    seed_calls = exec.seeds->solver_calls;
-  } else {
-    const int64_t calls_before = solver.num_calls();
-    InitTopK(graph, params, preprocess, solver, seeded);
-    seed_calls = solver.num_calls() - calls_before;
-  }
-  // Fig 11 line 2: ascending order of |C^d(G_i)| (cached by the Engine per
-  // query entry).
-  std::optional<std::vector<LayerId>> local_order;
-  if (exec.layer_order == nullptr) {
-    local_order =
-        SortedLayerOrder(preprocess, /*descending=*/false, params.sort_layers);
-  }
-  const std::vector<LayerId>& order =
-      exec.layer_order != nullptr ? *exec.layer_order : *local_order;
-  // Fig 11 line 3: the vertex index (always consulted — RefineC's Lemma 8
-  // stage filter needs it even on the reference path), cached by the
-  // engine per (d, s) because it is built over `preprocess.active`.
-  std::optional<VertexLevelIndex> local_index;
-  if (exec.index == nullptr) {
-    local_index.emplace(graph, params.d, preprocess.active);
-  }
-  const VertexLevelIndex& index =
-      exec.index != nullptr ? *exec.index : *local_index;
-
-  ConcurrentTopK top_k(std::move(seeded));
-  TopDownSearch search(graph, params, preprocess, order, index, exec, solver,
-                       top_k, result.stats, search_span.id());
-  search.Run();
-  search_span.End();
-
-  obs::Span cover_span(exec.trace, "query.cover", exec.trace_parent);
-  result.cores = top_k.index().entries();
-  cover_span.End();
-  result.stats.candidates_generated = seed_calls + search.committed_calls();
-  result.stats.speculative_evals = search.speculative_calls();
-  result.stats.search_seconds = search_timer.Seconds();
-  result.stats.total_seconds = total_timer.Seconds();
-  return result;
+  // Fig 11 lines 1–2 (= BU-DCCS lines 1–8, then an ascending layer order)
+  // run in the shared entry sequence.
+  return RunLatticeSearch(
+      graph, params, exec, /*descending_order=*/false,
+      [&](const LatticeInputs& in) {
+        // Fig 11 line 3: the vertex index (always consulted — RefineC's
+        // Lemma 8 stage filter needs it even on the reference path), cached
+        // by the engine per (d, s) because it is built over
+        // `preprocess.active`.
+        std::optional<VertexLevelIndex> local_index;
+        if (exec.index == nullptr) {
+          local_index.emplace(graph, params.d, in.preprocess.active);
+        }
+        TopDownSearch search(in, exec.index != nullptr ? *exec.index
+                                                       : *local_index);
+        search.Run();
+      });
 }
 
 }  // namespace mlcore

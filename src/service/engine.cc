@@ -348,15 +348,6 @@ Engine::~Engine() {
   }
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-const MultiLayerGraph& Engine::graph() const {
-  // NOLINT(mlcore-snapshot-bypass): deprecated passthrough; both ends are
-  // marked [[deprecated]] and every internal path pins snapshot().
-  return store_->current_graph();
-}
-#pragma GCC diagnostic pop
-
 DccsAlgorithm Engine::ResolvedAlgorithm(const DccsRequest& request) const {
   if (request.algorithm != DccsAlgorithm::kAuto) return request.algorithm;
   // Depends only on the layer count, which is fixed across epochs, so

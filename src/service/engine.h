@@ -324,13 +324,6 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Deprecated: the graph of the *current* snapshot. The reference is
-  /// only valid until the next successful ApplyUpdate retires that
-  /// snapshot — hold `store()->snapshot()` instead.
-  [[deprecated(
-      "valid only until the next ApplyUpdate; hold store()->snapshot() "
-      "instead")]]
-  const MultiLayerGraph& graph() const;
   const std::shared_ptr<GraphStore>& store() const { return store_; }
   const Options& options() const { return options_; }
 

@@ -104,11 +104,6 @@ uint64_t GraphStore::epoch() const {
   return current_->epoch_;
 }
 
-const MultiLayerGraph& GraphStore::current_graph() const {
-  util::MutexLock lock(snapshot_mu_);
-  return *current_->graph_;
-}
-
 uint64_t GraphStore::AddEpochListener(EpochListener listener) {
   // Registration-time API misuse (not a request path): a null listener
   // would crash every subsequent ApplyUpdate instead of the caller.

@@ -154,15 +154,6 @@ class GraphStore {
   /// Epoch of the current snapshot (0 before any update).
   uint64_t epoch() const;
 
-  /// Deprecated convenience: the current snapshot's graph. The reference
-  /// is only valid until the *next* successful ApplyUpdate retires the
-  /// snapshot (and every holder of it lets go) — a footgun under any
-  /// concurrent writer. Hold `snapshot()` instead; it pins the epoch for
-  /// as long as the caller keeps the pointer.
-  [[deprecated(
-      "valid only until the next ApplyUpdate; hold snapshot() instead")]]
-  const MultiLayerGraph& current_graph() const;
-
   /// Registers an epoch-change listener (see EpochListener for the
   /// invocation contract) and returns a handle for RemoveEpochListener.
   /// Listeners registered mid-ApplyUpdate see only later epochs.

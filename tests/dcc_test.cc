@@ -7,39 +7,10 @@
 #include "core/fds.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "test_support.h"
 
 namespace mlcore {
 namespace {
-
-// Independent fixpoint reference for the d-CC definition.
-VertexSet NaiveDcc(const MultiLayerGraph& graph, const LayerSet& layers,
-                   int d, VertexSet scope) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    VertexSet next;
-    for (VertexId v : scope) {
-      bool keep = true;
-      for (LayerId layer : layers) {
-        int degree = 0;
-        for (VertexId u : graph.Neighbors(layer, v)) {
-          if (std::binary_search(scope.begin(), scope.end(), u)) ++degree;
-        }
-        if (degree < d) {
-          keep = false;
-          break;
-        }
-      }
-      if (keep) {
-        next.push_back(v);
-      } else {
-        changed = true;
-      }
-    }
-    scope = std::move(next);
-  }
-  return scope;
-}
 
 MultiLayerGraph PaperStyleExample() {
   // Two communities: {0..5} dense on layers {0,1,2}; {4..9} dense on

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "core/dcc.h"
 #include "core/fds.h"
 #include "dccs/dccs.h"
+#include "format/generator.h"
+#include "format/mlg.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "test_support.h"
 
 namespace mlcore {
 namespace {
@@ -212,6 +217,40 @@ TEST(DccsTest, TopDownRefineCVariantsAgree) {
     for (size_t i = 0; i < faithful.cores.size(); ++i) {
       EXPECT_EQ(faithful.cores[i].layers, reference.cores[i].layers);
       EXPECT_EQ(faithful.cores[i].vertices, reference.cores[i].vertices);
+    }
+  }
+}
+
+TEST(DccsTest, TopDownDefaultCoresAreMaximalOnRmatFaultGraph) {
+  // The R-MAT graph on which the index-based RefineC returned d-dense but
+  // non-maximal cores (3 of 10 at s = 2, 1 of 10 at s = 3). With default
+  // params every TD core must equal the plain peel of its layer set.
+  format::MlgGenConfig config;
+  config.num_vertices = 1 << 13;
+  config.num_layers = 6;
+  config.edges_per_layer = 1 << 16;
+  config.layer_overlap = 0.3;
+  config.seed = 1;
+  const std::string path = UniqueTempPath("fault.mlg");
+  ASSERT_TRUE(format::GenerateMlg(config, path).ok());
+  MultiLayerGraph graph;
+  const Status loaded = format::LoadMlgGraph(path, &graph);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.message;
+
+  for (int s : {2, 3}) {
+    DccsParams params;
+    params.d = 8;
+    params.s = s;
+    params.k = 10;
+    const DccsResult result = TopDownDccs(graph, params);
+    ASSERT_FALSE(result.cores.empty()) << "s=" << s;
+    for (const ResultCore& core : result.cores) {
+      const VertexSet expected =
+          NaiveDcc(graph, core.layers, params.d, AllVertices(graph));
+      EXPECT_EQ(core.vertices, expected)
+          << "s=" << s << ": a returned core of " << core.vertices.size()
+          << " vertices is not C^d_L(G), which has " << expected.size();
     }
   }
 }

@@ -28,12 +28,13 @@
 #include "obs/span.h"
 #include "store/graph_store.h"
 #include "util/mmap_file.h"
+#include "test_support.h"
 
 namespace mlcore {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "mlcore_format_" + name;
+  return UniqueTempPath("format_" + name);
 }
 
 std::vector<char> ReadAllBytes(const std::string& path) {

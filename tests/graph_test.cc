@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <map>
 
 #include "graph/datasets.h"
@@ -10,6 +9,7 @@
 #include "graph/io.h"
 #include "graph/multilayer_graph.h"
 #include "graph/sampling.h"
+#include "test_support.h"
 
 namespace mlcore {
 namespace {
@@ -99,9 +99,7 @@ TEST(MultiLayerGraphTest, SetHelpers) {
 
 TEST(IoTest, SaveLoadRoundTrip) {
   MultiLayerGraph graph = TwoLayerTriangle();
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_io_test.txt")
-          .string();
+  std::string path = UniqueTempPath("io_test.txt");
   ASSERT_TRUE(SaveMultiLayerGraph(graph, path).ok);
 
   MultiLayerGraph loaded;
@@ -117,8 +115,7 @@ TEST(IoTest, SaveLoadRoundTrip) {
 }
 
 TEST(IoTest, LoadRejectsMissingHeader) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_io_bad.txt").string();
+  std::string path = UniqueTempPath("io_bad.txt");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     std::fputs("0 1 2\n", f);
@@ -130,9 +127,7 @@ TEST(IoTest, LoadRejectsMissingHeader) {
 }
 
 TEST(IoTest, LoadRejectsOutOfRangeIds) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_io_bad2.txt")
-          .string();
+  std::string path = UniqueTempPath("io_bad2.txt");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     std::fputs("n 3 1\n0 0 7\n", f);
@@ -145,9 +140,7 @@ TEST(IoTest, LoadRejectsOutOfRangeIds) {
 
 TEST(IoTest, BinaryRoundTripPreservesGraph) {
   MultiLayerGraph graph = GenerateErdosRenyi(120, 4, 0.06, 99);
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_io_bin.graph")
-          .string();
+  std::string path = UniqueTempPath("io_bin.graph");
   ASSERT_TRUE(SaveMultiLayerGraphBinary(graph, path).ok);
   MultiLayerGraph loaded;
   IoStatus status = LoadMultiLayerGraphBinary(path, &loaded);
@@ -166,8 +159,7 @@ TEST(IoTest, BinaryRoundTripPreservesGraph) {
 }
 
 TEST(IoTest, BinaryLoadRejectsGarbage) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_io_garbage").string();
+  std::string path = UniqueTempPath("io_garbage");
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     std::fputs("not a graph", f);
@@ -180,8 +172,7 @@ TEST(IoTest, BinaryLoadRejectsGarbage) {
 
 TEST(DatasetsTest, SaveLoadRoundTrip) {
   Dataset dataset = MakeDataset("ppi", 0.5);
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_ds_cache").string();
+  std::string path = UniqueTempPath("ds_cache");
   ASSERT_TRUE(SaveDataset(dataset, path));
   Dataset loaded;
   ASSERT_TRUE(LoadDataset(path, &loaded));

@@ -118,12 +118,12 @@ TEST_P(ParallelSearchTest, ThreadInvariantAcrossAblationToggles) {
   const DccsAlgorithm algorithm = GetParam();
   MultiLayerGraph graph = SearchGraph(43);
   // The pruning ablations exercise every driver commit path (no seeds, no
-  // layer sort, reference RefineC); each must stay thread-invariant.
+  // layer sort, index-based RefineC); each must stay thread-invariant.
   for (int toggle = 0; toggle < 3; ++toggle) {
     DccsParams params = SearchParams(algorithm);
     if (toggle == 0) params.init_result = false;
     if (toggle == 1) params.sort_layers = false;
-    if (toggle == 2) params.use_index_refinec = false;
+    if (toggle == 2) params.use_index_refinec = true;
 
     params.search_threads = 1;
     const DccsResult sequential = SolveDccs(graph, params, algorithm);

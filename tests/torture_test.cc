@@ -10,6 +10,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "util/rng.h"
+#include "test_support.h"
 
 namespace mlcore {
 namespace {
@@ -79,9 +80,7 @@ class BinaryIoFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BinaryIoFuzzTest, TruncatedFilesRejectedCleanly) {
   MultiLayerGraph graph = GenerateErdosRenyi(40, 3, 0.1, 77);
-  std::string path = (std::filesystem::temp_directory_path() /
-                      ("mlcore_fuzz_" + std::to_string(GetParam())))
-                         .string();
+  std::string path = UniqueTempPath("fuzz_truncated");
   ASSERT_TRUE(SaveMultiLayerGraphBinary(graph, path).ok);
   auto full_size = std::filesystem::file_size(path);
 
@@ -104,9 +103,7 @@ INSTANTIATE_TEST_SUITE_P(TruncationPercents, BinaryIoFuzzTest,
 
 TEST(BinaryIoFuzzTest, BitFlippedHeaderRejected) {
   MultiLayerGraph graph = GenerateErdosRenyi(30, 2, 0.1, 78);
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_fuzz_header")
-          .string();
+  std::string path = UniqueTempPath("fuzz_header");
   ASSERT_TRUE(SaveMultiLayerGraphBinary(graph, path).ok);
   {
     std::fstream file(path,
@@ -120,9 +117,7 @@ TEST(BinaryIoFuzzTest, BitFlippedHeaderRejected) {
 }
 
 TEST(BinaryIoFuzzTest, NegativeEdgeCountRejected) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_fuzz_negative")
-          .string();
+  std::string path = UniqueTempPath("fuzz_negative");
   {
     std::ofstream file(path, std::ios::binary);
     file.write("MLCB1\n", 6);
@@ -138,9 +133,7 @@ TEST(BinaryIoFuzzTest, NegativeEdgeCountRejected) {
 }
 
 TEST(BinaryIoFuzzTest, OutOfRangeVertexRejected) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_fuzz_range")
-          .string();
+  std::string path = UniqueTempPath("fuzz_range");
   {
     std::ofstream file(path, std::ios::binary);
     file.write("MLCB1\n", 6);
